@@ -56,7 +56,9 @@ class BroadcastProgram:
         period transmits the same blocks - the plain Figure 5 regime).
     """
 
-    __slots__ = ("_schedule", "_block_counts", "_data_cycle", "_index")
+    __slots__ = (
+        "_schedule", "_files", "_block_counts", "_data_cycle", "_index"
+    )
 
     def __init__(
         self,
@@ -64,8 +66,11 @@ class BroadcastProgram:
         block_counts: Mapping[str, int] | None = None,
     ) -> None:
         self._schedule = schedule
+        # Every walk's "is the file broadcast" guard reads this; owners()
+        # is an O(cycle) scan, so it runs once per program.
+        self._files = schedule.owners()
         counts: dict[str, int] = {}
-        for file in schedule.owners():
+        for file in self._files:
             per_cycle = schedule.total(file)
             requested = (
                 block_counts.get(file, per_cycle)
@@ -118,7 +123,7 @@ class BroadcastProgram:
     @property
     def files(self) -> tuple[str, ...]:
         """Files appearing in the program."""
-        return self._schedule.owners()
+        return self._files
 
     def block_count(self, file: str) -> int:
         """``n_i``: distinct blocks file ``i`` rotates through."""
@@ -152,6 +157,7 @@ class BroadcastProgram:
         self, state: tuple[Schedule, dict[str, int], int]
     ) -> None:
         self._schedule, self._block_counts, self._data_cycle = state
+        self._files = self._schedule.owners()
         self._index = None
 
     # ------------------------------------------------------------------

@@ -17,11 +17,9 @@ line of work it cites).  This module models that loop:
 * the value's **age at completion** is ``finish - version_write_slot``;
   temporal consistency holds when that age fits the item's constraint.
 
-:func:`retrieve_versioned` implements the client as an *occurrence
-walker*: it jumps service-to-service along the program's precomputed
-occurrence index (:attr:`BroadcastProgram.index`), asking the fault
-model about whole batches of candidate slots at once - the same
-treatment :func:`repro.sim.client.retrieve` received.  Slots carrying
+:func:`retrieve_versioned` is the occurrence walk of
+:mod:`repro.sim.client` (its shared kernel) with one extra reset rule:
+a block of a newer version discards the blocks held.  Slots carrying
 other files never affected the outcome and fault decisions are
 deterministic per ``(seed, slot)``, so the result is bit-identical to
 the seed slot-walking loop (kept in :mod:`repro.rtdb.reference` as the
@@ -31,22 +29,16 @@ frontier between update rate and the retrieval window.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Mapping, Sequence, TYPE_CHECKING
 
 from repro.errors import SimulationError, SpecificationError
 from repro.bdisk.program import BroadcastProgram
-from repro.sim.client import choose_channel, default_horizon
-from repro.sim.faults import FaultModel, NoFaults, lost_in
+from repro.sim.client import _walk, choose_channel, default_horizon
+from repro.sim.faults import FaultModel
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.bdisk.multichannel import ChannelSet
-
-#: Occurrences per batched fault query (the :mod:`repro.sim.client`
-#: convention): large enough to amortize the batch call, small enough
-#: that an early finish wastes little work.
-_FAULT_BATCH = 128
 
 #: Ceiling on the *derived* default horizon, in slots.  A default past
 #: this is almost certainly a configuration accident (an enormous data
@@ -124,6 +116,29 @@ def versioned_horizon(
     return base + min(update_period, base)
 
 
+def _listening_horizon(
+    program: BroadcastProgram,
+    file: str,
+    m_needed: int,
+    update_period: int,
+    max_slots: int | None,
+) -> int:
+    """``max_slots``, or the :func:`versioned_horizon` default checked
+    against :data:`MAX_DEFAULT_HORIZON` (every versioned walk's rule)."""
+    if max_slots is not None:
+        return max_slots
+    horizon = versioned_horizon(program, m_needed, update_period)
+    if horizon > MAX_DEFAULT_HORIZON:
+        raise SimulationError(
+            f"default horizon for a versioned retrieval of {file!r} "
+            f"is {horizon} slots (m={m_needed}, data cycle "
+            f"{program.data_cycle_length}, period {update_period}), "
+            f"past the {MAX_DEFAULT_HORIZON}-slot budget; pass "
+            f"max_slots to listen that long deliberately"
+        )
+    return horizon
+
+
 @dataclass(frozen=True)
 class VersionedRetrieval:
     """Outcome of a retrieval against a live-updated item."""
@@ -162,9 +177,10 @@ def retrieve_versioned(
     the version obtained, its age when retrieval completed, and how many
     blocks were thrown away to torn reads.
 
-    The client walks the occurrence index service-to-service with
-    batched fault queries; outcomes are bit-identical to the slot
-    walker preserved in :func:`repro.rtdb.reference.retrieve_versioned`.
+    The client walks the occurrence index service-to-service (the
+    kernel of :mod:`repro.sim.client`); outcomes are bit-identical to
+    the slot walker preserved in
+    :func:`repro.rtdb.reference.retrieve_versioned`.
 
     Raises
     ------
@@ -175,124 +191,20 @@ def retrieve_versioned(
     """
     if file not in program.files:
         raise SimulationError(f"file {file!r} is not broadcast")
-    fault_model = faults if faults is not None else NoFaults()
-    update_period = server.period(file)
-    if max_slots is not None:
-        horizon = max_slots
-    else:
-        horizon = versioned_horizon(program, m_needed, update_period)
-        if horizon > MAX_DEFAULT_HORIZON:
-            raise SimulationError(
-                f"default horizon for a versioned retrieval of {file!r} "
-                f"is {horizon} slots (m={m_needed}, data cycle "
-                f"{program.data_cycle_length}, period {update_period}), "
-                f"past the {MAX_DEFAULT_HORIZON}-slot budget; pass "
-                f"max_slots to listen that long deliberately"
-            )
-    end = start + horizon
-
-    held: set[int] = set()
-    held_version: int | None = None
-    discards = 0
-
-    index = program.index
-    occ_slots = index.occurrence_slots(file)
-    occ_blocks = index.occurrence_blocks(file)
-    count = len(occ_slots)
-    cycle = index.data_cycle_length
-    quotient, within = divmod(start, cycle)
-    base = quotient * cycle
-    i = bisect_left(occ_slots, within)
-
-    # The version-absorb step is inlined in both walks below (a per-
-    # occurrence function call would dominate the fault-free path):
-    # a newer version discards everything held; an older one (never
-    # produced by the monotone clock) would be skipped; completion
-    # reports the held version's write-slot age.
-    if isinstance(fault_model, NoFaults):
-        # Fault-free fast path: no decisions to make, walk the arrays.
-        held_add = held.add
-        while base < end:
-            while i < count:
-                slot = base + occ_slots[i]
-                if slot >= end:
-                    base = end  # horizon exhausted
-                    break
-                block = occ_blocks[i]
-                i += 1
-                version = slot // update_period
-                if version != held_version:
-                    if held:
-                        discards += len(held)
-                        held = set()
-                        held_add = held.add
-                    held_version = version
-                held_add(block)
-                if len(held) >= m_needed:
-                    return VersionedRetrieval(
-                        file=file,
-                        completed=True,
-                        finish_slot=slot,
-                        latency=slot - start + 1,
-                        version=version,
-                        age_at_completion=slot - version * update_period,
-                        torn_discards=discards,
-                    )
-            else:
-                base += cycle
-                i = 0
-    else:
-        while base < end:
-            # Gather the next batch of service slots inside the horizon
-            # and decide their fates in one fault-model call.
-            batch_slots: list[int] = []
-            batch_blocks: list[int] = []
-            while len(batch_slots) < _FAULT_BATCH:
-                if i >= count:
-                    base += cycle
-                    i = 0
-                    if base >= end:
-                        break
-                    continue
-                slot = base + occ_slots[i]
-                if slot >= end:
-                    base = end
-                    break
-                batch_slots.append(slot)
-                batch_blocks.append(occ_blocks[i])
-                i += 1
-            if not batch_slots:
-                break
-            decisions = lost_in(fault_model, batch_slots)
-            for slot, block, is_lost in zip(
-                batch_slots, batch_blocks, decisions
-            ):
-                if is_lost:
-                    continue
-                version = slot // update_period
-                if version != held_version:
-                    if held:
-                        discards += len(held)
-                        held = set()
-                    held_version = version
-                held.add(block)
-                if len(held) >= m_needed:
-                    return VersionedRetrieval(
-                        file=file,
-                        completed=True,
-                        finish_slot=slot,
-                        latency=slot - start + 1,
-                        version=version,
-                        age_at_completion=slot - version * update_period,
-                        torn_discards=discards,
-                    )
+    period = server.period(file)
+    horizon = _listening_horizon(program, file, m_needed, period, max_slots)
+    finish, _, _, discards, write = _walk(
+        ((program, file, start, start + horizon, 0, None, period),),
+        m_needed,
+        faults,
+    )
     return VersionedRetrieval(
         file=file,
-        completed=False,
-        finish_slot=None,
-        latency=None,
-        version=held_version,
-        age_at_completion=None,
+        completed=finish is not None,
+        finish_slot=finish,
+        latency=None if finish is None else finish - start + 1,
+        version=None if write is None else write // period,
+        age_at_completion=None if finish is None else finish - write,
         torn_discards=discards,
     )
 
@@ -439,19 +351,9 @@ def retrieve_versioned_quorum(
             switches += 1
             current = channel
         program = channels.programs[channel]
-        if max_slots is not None:
-            horizon = max_slots
-        else:
-            horizon = versioned_horizon(program, m_needed, update_period)
-            if horizon > MAX_DEFAULT_HORIZON:
-                raise SimulationError(
-                    f"default horizon for a versioned retrieval of "
-                    f"{file!r} is {horizon} slots (m={m_needed}, data "
-                    f"cycle {program.data_cycle_length}, period "
-                    f"{update_period}), past the "
-                    f"{MAX_DEFAULT_HORIZON}-slot budget; pass max_slots "
-                    f"to listen that long deliberately"
-                )
+        horizon = _listening_horizon(
+            program, file, m_needed, update_period, max_slots
+        )
         fault_model = faults[channel] if faults is not None else None
         copy = retrieve_versioned(
             program,

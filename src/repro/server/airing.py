@@ -16,9 +16,10 @@ occurrences dovetail with the outgoing tail.
 
 The schedule is also the retrieval oracle for clients that live through
 splices: :meth:`retrieve` (distinct-block IDA reads) and
-:meth:`retrieve_versioned` (version-consistent temporal reads) walk the
-per-segment occurrence indexes service-to-service, crossing segment
-boundaries transparently.  Cross-segment rules:
+:meth:`retrieve_versioned` (version-consistent temporal reads) hand the
+occurrence-walk kernel of :mod:`repro.sim.client` one leg per segment
+that airs the file, so the walk crosses segment boundaries
+transparently.  Cross-segment rules:
 
 * **fault decisions are keyed on absolute slots** - the channel is one
   physical medium; a splice does not reshuffle its loss process;
@@ -47,9 +48,9 @@ from typing import Iterator, Mapping, Sequence
 
 from repro.errors import SimulationError
 from repro.bdisk.program import BroadcastProgram, SlotContent
-from repro.sim.client import default_horizon
-from repro.sim.faults import FaultModel, NoFaults
-from repro.rtdb.updates import MAX_DEFAULT_HORIZON, versioned_horizon
+from repro.sim.client import _Leg, _walk, default_horizon
+from repro.sim.faults import FaultModel
+from repro.rtdb.updates import _listening_horizon
 
 
 @dataclass(frozen=True)
@@ -201,55 +202,83 @@ class AirSchedule:
     # Retrieval across segments
     # ------------------------------------------------------------------
 
-    def _occurrences(
-        self, file: str, start: int, end: int
-    ) -> Iterator[tuple[int, int, int]]:
-        """Yield ``(abs_slot, block, epoch)`` services of ``file``.
-
-        Walks ``[start, end)`` in absolute-slot order, jumping
-        service-to-service along each segment's occurrence index and
-        skipping segments that do not air the file.
-        """
+    def _home(self, file: str, start: int) -> tuple[int, int]:
+        """``(first, home)``: the epochs of the segment covering ``start``
+        and of the first segment from there that airs ``file``."""
         first = self.epoch_of(start)
-        for epoch in range(first, len(self._segments)):
-            segment = self._segments[epoch]
-            seg_end = (
-                self._starts[epoch + 1]
-                if epoch + 1 < len(self._segments)
+        for home in range(first, len(self._segments)):
+            if file in self._segments[home].program.files:
+                return first, home
+        raise SimulationError(
+            f"file {file!r} is not broadcast anywhere on the "
+            f"timeline from slot {start}"
+        )
+
+    def _retrieve(
+        self,
+        file: str,
+        m_needed: int,
+        start: int,
+        epochs: tuple[int, int],
+        horizon: int,
+        faults: FaultModel | None,
+        versioned: bool,
+    ) -> SplicedRetrieval:
+        """Walk ``[start, start + horizon)``; ``epochs`` is
+        :meth:`_home`'s answer for ``start``."""
+        if horizon < 1:
+            raise SimulationError(f"horizon must be >= 1: {horizon}")
+        first, home = epochs
+        end = start + horizon
+        finish, _, _, discards, write = _walk(
+            self._legs(file, home, start, end, versioned), m_needed, faults
+        )
+        last = end - 1 if finish is None else finish
+        return SplicedRetrieval(
+            file=file,
+            completed=finish is not None,
+            finish_slot=last,
+            latency=None if finish is None else finish - start + 1,
+            segments_crossed=self.epoch_of(last) - first,
+            age_at_completion=(
+                finish - write if versioned and finish is not None else None
+            ),
+            torn_discards=discards,
+        )
+
+    def _legs(
+        self, file: str, home: int, start: int, end: int, versioned: bool
+    ) -> Iterator[_Leg]:
+        """The kernel legs of ``[start, end)``: one per segment from
+        ``home`` on that airs ``file``, built lazily so a walk that
+        finishes early touches no later segment."""
+        segments = self._segments
+        for epoch in range(home, len(segments)):
+            segment = segments[epoch]
+            if segment.start >= end:
+                return
+            if epoch > home and file not in segment.program.files:
+                continue
+            hi = (
+                min(end, self._starts[epoch + 1])
+                if epoch + 1 < len(segments)
                 else end
             )
-            hi = min(end, seg_end)
-            if hi <= segment.start and epoch > first:
-                break
-            if file not in segment.program.files:
-                continue
-            lo = max(start, segment.start)
-            for slot, block in segment.program.index.occurrences_from(
-                file, segment.phase(lo)
-            ):
-                abs_slot = segment.absolute(slot)
-                if abs_slot >= hi:
-                    break
-                yield abs_slot, block, epoch
-
-    def _first_segment_with(self, file: str, start: int) -> Segment | None:
-        for epoch in range(self.epoch_of(start), len(self._segments)):
-            if file in self._segments[epoch].program.files:
-                return self._segments[epoch]
-        return None
-
-    def _dispersal_basis(self, epoch: int, file: str) -> int:
-        """The reconstruction-compatibility key for ``file`` in ``epoch``.
-
-        The IDA level ``m`` when the segment declares it; the aired
-        block count otherwise (a conservative stand-in - it also moves
-        when only the fault budget ``r`` changed).
-        """
-        segment = self._segments[epoch]
-        m = segment.dispersal_of(file)
-        if m is not None:
-            return m
-        return segment.program.block_count(file)
+            # Reconstruction compatibility: the declared IDA level m,
+            # else the aired block count (a conservative stand-in - it
+            # also moves when only the fault budget r changed).
+            basis = segment.dispersal_of(file)
+            if basis is None:
+                basis = segment.program.block_count(file)
+            yield (
+                segment.program,
+                file,
+                max(start, segment.start),
+                hi,
+                segment.start - segment.phase_offset,
+                basis,
+                segment.period(file) if versioned else None,
+            )
 
     def retrieve(
         self,
@@ -270,54 +299,14 @@ class AirSchedule:
         :class:`~repro.errors.SimulationError` when no segment from
         ``start`` onward ever airs the file.
         """
-        home = self._first_segment_with(file, start)
-        if home is None:
-            raise SimulationError(
-                f"file {file!r} is not broadcast anywhere on the "
-                f"timeline from slot {start}"
-            )
-        if max_slots is not None:
-            horizon = max_slots
-        else:
-            horizon = default_horizon(home.program, m_needed)
-        if horizon < 1:
-            raise SimulationError(f"horizon must be >= 1: {horizon}")
-        end = start + horizon
-        fault_model = faults if faults is not None else NoFaults()
-
-        held: set[int] = set()
-        discards = 0
-        prev_epoch: int | None = None
-        prev_m: int | None = None
-        first_epoch = self.epoch_of(start)
-        for slot, block, epoch in self._occurrences(file, start, end):
-            if fault_model.is_lost(slot):
-                continue
-            m_here = self._dispersal_basis(epoch, file)
-            if prev_epoch is not None and epoch != prev_epoch:
-                if m_here != prev_m and held:
-                    discards += len(held)
-                    held.clear()
-            prev_epoch, prev_m = epoch, m_here
-            held.add(block)
-            if len(held) >= m_needed:
-                return SplicedRetrieval(
-                    file=file,
-                    completed=True,
-                    finish_slot=slot,
-                    latency=slot - start + 1,
-                    segments_crossed=self.epoch_of(slot) - first_epoch,
-                    torn_discards=discards,
-                )
-        return SplicedRetrieval(
-            file=file,
-            completed=False,
-            finish_slot=start + horizon - 1,
-            latency=None,
-            segments_crossed=(
-                self.epoch_of(start + horizon - 1) - first_epoch
-            ),
-            torn_discards=discards,
+        epochs = self._home(file, start)
+        horizon = (
+            max_slots
+            if max_slots is not None
+            else default_horizon(self._segments[epochs[1]].program, m_needed)
+        )
+        return self._retrieve(
+            file, m_needed, start, epochs, horizon, faults, False
         )
 
     def retrieve_versioned(
@@ -338,75 +327,13 @@ class AirSchedule:
         item's age nor tears a read by itself - only a genuine version
         boundary (or a re-dispersal) discards held blocks.
         """
-        home = self._first_segment_with(file, start)
-        if home is None:
-            raise SimulationError(
-                f"file {file!r} is not broadcast anywhere on the "
-                f"timeline from slot {start}"
-            )
-        if max_slots is not None:
-            horizon = max_slots
-        else:
-            horizon = versioned_horizon(
-                home.program, m_needed, home.period(file)
-            )
-            if horizon > MAX_DEFAULT_HORIZON:
-                raise SimulationError(
-                    f"default horizon for a versioned retrieval of "
-                    f"{file!r} is {horizon} slots, past the "
-                    f"{MAX_DEFAULT_HORIZON}-slot budget; pass "
-                    f"max_slots to listen that long deliberately"
-                )
-        if horizon < 1:
-            raise SimulationError(f"horizon must be >= 1: {horizon}")
-        end = start + horizon
-        fault_model = faults if faults is not None else NoFaults()
-
-        held: set[int] = set()
-        held_write: int | None = None
-        discards = 0
-        prev_epoch: int | None = None
-        prev_m: int | None = None
-        first_epoch = self.epoch_of(start)
-        for slot, block, epoch in self._occurrences(file, start, end):
-            if fault_model.is_lost(slot):
-                continue
-            segment = self._segments[epoch]
-            m_here = self._dispersal_basis(epoch, file)
-            if prev_epoch is not None and epoch != prev_epoch:
-                if m_here != prev_m and held:
-                    discards += len(held)
-                    held.clear()
-                    held_write = None
-            prev_epoch, prev_m = epoch, m_here
-            period = segment.period(file)
-            write_slot = slot - slot % period
-            if write_slot != held_write:
-                if held:
-                    discards += len(held)
-                    held.clear()
-                held_write = write_slot
-            held.add(block)
-            if len(held) >= m_needed:
-                return SplicedRetrieval(
-                    file=file,
-                    completed=True,
-                    finish_slot=slot,
-                    latency=slot - start + 1,
-                    segments_crossed=self.epoch_of(slot) - first_epoch,
-                    age_at_completion=slot - write_slot,
-                    torn_discards=discards,
-                )
-        return SplicedRetrieval(
-            file=file,
-            completed=False,
-            finish_slot=start + horizon - 1,
-            latency=None,
-            segments_crossed=(
-                self.epoch_of(start + horizon - 1) - first_epoch
-            ),
-            age_at_completion=None,
-            torn_discards=discards,
+        epochs = self._home(file, start)
+        home = self._segments[epochs[1]]
+        horizon = _listening_horizon(
+            home.program, file, m_needed, home.period(file), max_slots
+        )
+        return self._retrieve(
+            file, m_needed, start, epochs, horizon, faults, True
         )
 
     def __len__(self) -> int:

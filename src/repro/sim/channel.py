@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from repro.errors import BlockCodecError, SimulationError, SpecificationError
 from repro.bdisk.program import BroadcastProgram
 from repro.ida.blocks import Block, decode_block, encode_block
+from repro.sim.client import default_horizon
 
 
 @dataclass(frozen=True)
@@ -125,7 +126,7 @@ def broadcast_retrieve(
     horizon = (
         max_slots
         if max_slots is not None
-        else (m_needed + 2) * program.data_cycle_length
+        else default_horizon(program, m_needed)
     )
     end = start + horizon
     held: dict[int, Block] = {}

@@ -16,19 +16,25 @@ requirement; the fault model decides which slots are lost.
 
 The client is an *occurrence walker*: instead of scanning the program
 slot by slot, it jumps service-to-service along the program's
-precomputed occurrence index (:attr:`BroadcastProgram.index`), asking
-the fault model about whole batches of candidate slots at once.  The
-retrieval outcome is bit-identical to the seed slot-walking loop (kept
-in :mod:`repro.sim.reference` as the executable spec) because fault
-decisions are deterministic per ``(seed, slot)`` and slots carrying
-other files never affected the outcome.
+precomputed occurrence index (:attr:`BroadcastProgram.index`).  One
+private kernel, ``_walk``, is that walk for every retrieval in the
+package - plain and specific-block reads here, version-consistent reads
+(:func:`repro.rtdb.updates.retrieve_versioned`) and reads across spliced
+programs (:class:`repro.server.airing.AirSchedule`).  It asks the fault
+model only about services that can still matter, in rounds of as many
+services as blocks are missing, so it decides exactly the slots the
+seed slot-walking loop (kept in :mod:`repro.sim.reference` as the
+executable spec) decides, and the outcome is bit-identical to it:
+fault decisions are deterministic per ``(seed, slot)`` and slots
+carrying other files never affected the outcome.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Sequence, TYPE_CHECKING
+from itertools import repeat
+from typing import Iterable, Sequence, TYPE_CHECKING
 
 from repro.errors import SimulationError
 from repro.bdisk.program import BroadcastProgram
@@ -36,11 +42,6 @@ from repro.sim.faults import FaultModel, NoFaults, lost_in
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.bdisk.multichannel import ChannelSet
-
-#: Occurrences per batched fault query; large enough to amortize the
-#: batch call, small enough that an early finish wastes little work.
-_FAULT_BATCH = 128
-
 
 def default_horizon(program: BroadcastProgram, m_needed: int) -> int:
     """The default listening horizon: ``(m_needed + 2)`` data cycles.
@@ -51,6 +52,108 @@ def default_horizon(program: BroadcastProgram, m_needed: int) -> int:
     without reconstructing gives up (the channel is effectively dark).
     """
     return (m_needed + 2) * program.data_cycle_length
+
+
+#: One stretch of an occurrence walk, ``(program, file, lo, hi, offset,
+#: basis, period)``: the program's services of ``file`` in the absolute
+#: slots ``[lo, hi)``, program slot ``p`` airing at ``p + offset``.
+#: Held blocks are discarded when the walk absorbs a block whose
+#: ``basis`` (a reconstruction-compatibility key, e.g. the IDA level
+#: ``m``) or write slot ``t - t % period`` (versioned reads; ``period``
+#: is ``None`` for plain reads) differs from theirs.
+_Leg = tuple[BroadcastProgram, str, int, int, int, int | None, int | None]
+
+
+def _walk(
+    legs: Iterable[_Leg],
+    m_needed: int,
+    faults: FaultModel | None,
+    *,
+    need_distinct: bool = True,
+) -> tuple[int | None, dict[int, None], list[int], int, int | None]:
+    """The occurrence walk every retrieval shares (Lemma 2's client).
+
+    Walks the legs service by service, skips lost slots and stops at
+    the ``m``-th distinct block held (with ``need_distinct=False``,
+    once every index below ``m`` is held).  Returns ``(finish, held,
+    lost, discards, write)``: the finish slot (``None`` when the legs
+    run out), the held blocks in arrival order, the lost services, the
+    blocks discarded to resets, and the write slot of the held blocks.
+
+    Fault queries are batched, and the batch is derived rather than
+    tuned: each round asks about the next ``missing`` services, where
+    ``missing`` counts the blocks still needed.  One service adds at
+    most one block and a reset only removes blocks, so the finish is
+    never before the last service of a round - the walk asks exactly
+    the services from the first leg's ``lo`` through the finish slot,
+    as the slot-walking references do.  ``NoFaults`` (or ``None``) is
+    never asked.
+    """
+    if isinstance(faults, NoFaults):
+        faults = None  # nothing to ask: every service is received
+    never_lost = repeat(False)
+    # Blocks at or past `limit` complete nothing in specific-blocks mode.
+    limit = m_needed if not need_distinct else 1 << 62
+    held: dict[int, None] = {}
+    lost: list[int] = []
+    missing = m_needed
+    discards = 0
+    held_basis: int | None = None
+    held_write: int | None = None
+    for program, file, lo, hi, offset, basis, period in legs:
+        index = program.index
+        slots = index.occurrence_slots(file)
+        blocks = index.occurrence_blocks(file)
+        cycle = index.data_cycle_length
+        count = len(slots)
+        # Pointer (base, i): the next service is occurrence i of the
+        # cycle copy airing from absolute slot `base`.
+        quotient, within = divmod(lo - offset, cycle)
+        base = quotient * cycle + offset
+        i = bisect_left(slots, within)
+        stale = basis != held_basis
+        write = None
+        while True:
+            if i == count:
+                base += cycle
+                i = 0
+            # One round: the next `missing` services of this cycle copy
+            # that air before `hi` (at least one: with m <= 0 the first
+            # received block finishes, as in the references).
+            j = i + (missing if missing > 0 else 1)
+            if j > count:
+                j = count
+            if base + slots[j - 1] >= hi:
+                j = bisect_left(slots, hi - base, i, j)
+                if j == i:
+                    break
+            batch = slots[i:j]
+            decisions = (
+                never_lost
+                if faults is None
+                else lost_in(faults, [base + slot for slot in batch])
+            )
+            for slot, block, is_lost in zip(batch, blocks[i:j], decisions):
+                slot += base
+                if is_lost:
+                    lost.append(slot)
+                    continue
+                if period is not None:
+                    write = slot - slot % period
+                if stale or write != held_write:
+                    discards += len(held)
+                    held.clear()
+                    missing = m_needed
+                    held_basis, held_write = basis, write
+                    stale = False
+                if block not in held:
+                    held[block] = None
+                    if block < limit:
+                        missing -= 1
+                    if missing <= 0:
+                        return slot, held, lost, discards, write
+            i = j
+    return None, held, lost, discards, held_write
 
 
 @dataclass(frozen=True)
@@ -131,117 +234,24 @@ def retrieve(
     """
     if file not in program.files:
         raise SimulationError(f"file {file!r} is not broadcast")
-    fault_model = faults if faults is not None else NoFaults()
     horizon = (
         max_slots
         if max_slots is not None
         else default_horizon(program, m_needed)
     )
-    end = start + horizon
-
-    seen: set[int] = set()
-    arrival_order: list[int] = []
-    lost: list[int] = []
-    wanted = set(range(m_needed)) if not need_distinct else None
-
-    index = program.index
-    occ_slots = index.occurrence_slots(file)
-    occ_blocks = index.occurrence_blocks(file)
-    count = len(occ_slots)
-    cycle = index.data_cycle_length
-    # Pointer (base, i): the next candidate occurrence is occurrence i of
-    # the cycle copy starting at absolute slot `base`.
-    quotient, within = divmod(start, cycle)
-    base = quotient * cycle
-    i = bisect_left(occ_slots, within)
-
-    if isinstance(fault_model, NoFaults):
-        # Fault-free fast path: no decisions to make, walk the arrays.
-        seen_add = seen.add
-        append = arrival_order.append
-        while base < end:
-            while i < count:
-                slot = base + occ_slots[i]
-                if slot >= end:
-                    base = end  # horizon exhausted
-                    break
-                block = occ_blocks[i]
-                i += 1
-                if block not in seen:
-                    seen_add(block)
-                    append(block)
-                done = (
-                    len(seen) >= m_needed
-                    if need_distinct
-                    else wanted is not None and wanted <= seen
-                )
-                if done:
-                    return RetrievalResult(
-                        file=file,
-                        start=start,
-                        completed=True,
-                        finish_slot=slot,
-                        latency=slot - start + 1,
-                        received=tuple(arrival_order),
-                        lost_slots=(),
-                    )
-            else:
-                base += cycle
-                i = 0
-    else:
-        while base < end:
-            # Gather the next batch of service slots inside the horizon
-            # and decide their fates in one fault-model call.
-            batch_slots: list[int] = []
-            batch_blocks: list[int] = []
-            while len(batch_slots) < _FAULT_BATCH:
-                if i >= count:
-                    base += cycle
-                    i = 0
-                    if base >= end:
-                        break
-                    continue
-                slot = base + occ_slots[i]
-                if slot >= end:
-                    base = end
-                    break
-                batch_slots.append(slot)
-                batch_blocks.append(occ_blocks[i])
-                i += 1
-            if not batch_slots:
-                break
-            decisions = lost_in(fault_model, batch_slots)
-            for slot, block, is_lost in zip(
-                batch_slots, batch_blocks, decisions
-            ):
-                if is_lost:
-                    lost.append(slot)
-                    continue
-                if block not in seen:
-                    seen.add(block)
-                    arrival_order.append(block)
-                done = (
-                    len(seen) >= m_needed
-                    if need_distinct
-                    else wanted is not None and wanted <= seen
-                )
-                if done:
-                    return RetrievalResult(
-                        file=file,
-                        start=start,
-                        completed=True,
-                        finish_slot=slot,
-                        latency=slot - start + 1,
-                        received=tuple(arrival_order),
-                        lost_slots=tuple(lost),
-                    )
+    finish, held, lost, _, _ = _walk(
+        ((program, file, start, start + horizon, 0, None, None),),
+        m_needed,
+        faults,
+        need_distinct=need_distinct,
+    )
     return RetrievalResult(
         file=file,
         start=start,
-        completed=False,
-        finish_slot=None,
-        latency=None,
-        received=tuple(arrival_order),
+        completed=finish is not None,
+        finish_slot=finish,
+        latency=None if finish is None else finish - start + 1,
+        received=tuple(held),
         lost_slots=tuple(lost),
     )
 

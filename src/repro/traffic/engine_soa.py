@@ -17,7 +17,9 @@ heap event per client:
 * faulty retrievals batch the fault decisions: one
   ``lost_in`` call per wave over the *union* of candidate occurrence
   slots, then a short scalar walk per member over the pre-decided
-  outcomes (:class:`_FaultResolver`);
+  outcomes (:class:`_FaultResolver`) - the rule of the scalar kernel in
+  :mod:`repro.sim.client`, but with a fixed chunk of candidates per
+  member, so a wave may decide slots past a member's finish;
 * client caches (LRU / PIX) are rows of a matrix - victims come from a
   vectorized argmin over composite keys that reproduce the scalar
   policies' ``min(resident, key=...)`` orders exactly;

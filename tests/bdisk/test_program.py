@@ -1,5 +1,7 @@
 """Tests for the BroadcastProgram abstraction (periods, gaps, rotation)."""
 
+import pickle
+
 import pytest
 
 from repro.bdisk.program import BroadcastProgram, SlotContent
@@ -35,6 +37,15 @@ class TestStructure:
         schedule = Schedule(["A", "A", IDLE])
         program = BroadcastProgram(schedule, {"A": 3})
         assert program.data_cycle_length == 9
+
+    def test_files_survive_a_pickle_round_trip(self):
+        # The pickle state holds only the schedule, the block counts and
+        # the data cycle; the files tuple is rebuilt on load.
+        program = BroadcastProgram(
+            Schedule(["B", IDLE, "A", "B", "C"]), {"A": 2}
+        )
+        clone = pickle.loads(pickle.dumps(program))
+        assert clone.files == program.files == ("B", "A", "C")
 
 
 class TestContent:

@@ -3,14 +3,17 @@
 import pytest
 
 from repro.bdisk.flat import build_aida_flat_program
+from repro.bdisk.multichannel import ChannelSet
 from repro.errors import SimulationError, SpecificationError
 from repro.rtdb import updates
 from repro.rtdb.updates import (
     UpdatingServer,
     consistency_rate,
     retrieve_versioned,
+    retrieve_versioned_quorum,
     versioned_horizon,
 )
+from repro.server.airing import AirSchedule, Segment
 from repro.sim.client import default_horizon
 from repro.sim.faults import BernoulliFaults
 
@@ -143,6 +146,32 @@ class TestDefaultHorizon:
             program, server, "B", 3, max_slots=500
         )
         assert result.completed
+
+    def test_every_versioned_walk_raises_the_same_budget_error(
+        self, monkeypatch
+    ):
+        program = make_program()
+        periods = {"A": 10, "B": 10}
+        server = UpdatingServer(periods)
+        channels = ChannelSet((program,), {"A": (0,), "B": (0,)})
+        timeline = AirSchedule(
+            [Segment(0, program, update_periods=periods)]
+        )
+        monkeypatch.setattr(updates, "MAX_DEFAULT_HORIZON", 10)
+        walks = (
+            lambda: retrieve_versioned(program, server, "B", 3),
+            lambda: retrieve_versioned_quorum(channels, server, "B", 3),
+            lambda: timeline.retrieve_versioned("B", 3, start=0),
+        )
+        messages = set()
+        for walk in walks:
+            with pytest.raises(SimulationError) as excinfo:
+                walk()
+            messages.add(str(excinfo.value))
+        assert len(messages) == 1
+        (message,) = messages
+        cycle = program.data_cycle_length
+        assert f"(m=3, data cycle {cycle}, period 10)" in message
 
 
 class TestConsistencyRate:
